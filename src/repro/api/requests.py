@@ -13,6 +13,7 @@ response types).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Any, Mapping, Sequence
 
@@ -85,8 +86,15 @@ class DecisionRequest:
         _check_policy(self.policy)
         _check_spec(self.spec)
         object.__setattr__(self, "alpha", float(self.alpha))
+        if not math.isfinite(self.alpha):
+            raise ConfigurationError(f"alpha must be a finite number, got {self.alpha}")
         if self.power_cap_w is not None:
             object.__setattr__(self, "power_cap_w", float(self.power_cap_w))
+            if not (math.isfinite(self.power_cap_w) and self.power_cap_w > 0):
+                raise ConfigurationError(
+                    f"power_cap_w must be a finite positive number of watts, "
+                    f"got {self.power_cap_w}"
+                )
 
     @property
     def group_size(self) -> int:

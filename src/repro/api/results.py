@@ -41,7 +41,7 @@ class CandidateEvaluationResult:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "predicted_rperfs", tuple(float(v) for v in self.predicted_rperfs)
+            self, "predicted_rperfs", tuple(map(float, self.predicted_rperfs))
         )
 
     @property
@@ -53,16 +53,16 @@ class CandidateEvaluationResult:
     def from_evaluation(
         cls, evaluation: "CandidateEvaluation"
     ) -> "CandidateEvaluationResult":
-        """Convert one engine-level candidate evaluation."""
+        """Convert one engine-level candidate evaluation (values pass through)."""
         return cls(
             state=evaluation.state.describe(),
             label=evaluation.state.label,
-            power_cap_w=float(evaluation.power_cap_w),
-            predicted_rperfs=tuple(evaluation.predicted_rperfs),
-            throughput=float(evaluation.predicted_throughput),
-            fairness=float(evaluation.predicted_fairness),
-            objective=float(evaluation.objective),
-            feasible=bool(evaluation.feasible),
+            power_cap_w=evaluation.power_cap_w,
+            predicted_rperfs=evaluation.predicted_rperfs,
+            throughput=evaluation.predicted_throughput,
+            fairness=evaluation.predicted_fairness,
+            objective=evaluation.objective,
+            feasible=evaluation.feasible,
         )
 
     def to_dict(self) -> dict[str, Any]:
@@ -100,9 +100,9 @@ class DecisionResult:
     evaluations: tuple[CandidateEvaluationResult, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "apps", tuple(str(app) for app in self.apps))
+        object.__setattr__(self, "apps", tuple(map(str, self.apps)))
         object.__setattr__(
-            self, "predicted_rperfs", tuple(float(v) for v in self.predicted_rperfs)
+            self, "predicted_rperfs", tuple(map(float, self.predicted_rperfs))
         )
         object.__setattr__(self, "evaluations", tuple(self.evaluations))
 
@@ -122,22 +122,25 @@ class DecisionResult:
         apps: Sequence[str],
         spec: str,
     ) -> "DecisionResult":
-        """Convert an engine-level :class:`AllocationDecision`."""
+        """Convert an engine-level :class:`AllocationDecision` in one pass.
+
+        The allocator builds its records from plain Python values, so
+        scalars pass straight through and only ``__post_init__`` coerces.
+        """
         return cls(
             policy=decision.policy_name,
             apps=tuple(apps),
             spec=spec,
             state=decision.state.describe(),
             state_label=decision.state.label,
-            power_cap_w=float(decision.power_cap_w),
-            predicted_rperfs=tuple(decision.predicted_rperfs),
-            predicted_throughput=float(decision.predicted_throughput),
-            predicted_fairness=float(decision.predicted_fairness),
-            predicted_objective=float(decision.predicted_objective),
-            candidates_evaluated=int(decision.candidates_evaluated),
+            power_cap_w=decision.power_cap_w,
+            predicted_rperfs=decision.predicted_rperfs,
+            predicted_throughput=decision.predicted_throughput,
+            predicted_fairness=decision.predicted_fairness,
+            predicted_objective=decision.predicted_objective,
+            candidates_evaluated=decision.candidates_evaluated,
             evaluations=tuple(
-                CandidateEvaluationResult.from_evaluation(e)
-                for e in decision.evaluations
+                map(CandidateEvaluationResult.from_evaluation, decision.evaluations)
             ),
         )
 

@@ -253,11 +253,12 @@ class PlannerService:
         """Solve many allocation requests in one call.
 
         Sessions are shared across the batch (each distinct
-        ``(spec, grid, model path)`` trains at most once), every unique
-        request is evaluated through the allocator's batched NumPy
-        candidate-grid path, and exact duplicates within the batch are
-        answered once and fanned back out in order (they still count as
-        served decisions, on the service and on their session).
+        ``(spec, grid, model path)`` trains at most once), each unique
+        request is solved once — like every allocator solve, by scoring its
+        whole candidate grid in one batched NumPy call — and exact
+        duplicates within the batch are answered once and fanned back out
+        in order (they still count as served decisions, on the service and
+        on their session).
         """
         memo: dict[DecisionRequest, tuple[DecisionResult, PlannerSession]] = {}
         results = []

@@ -129,8 +129,11 @@ class LinearPerfModel:
     """
 
     #: Candidate-grid coefficient gathers memoized per model (see
-    #: :meth:`predict_candidates`); bounded so stale grids are dropped.
-    _GATHER_CACHE_SIZE = 8
+    #: :meth:`predict_candidates`); bounded so stale grids are dropped.  Per
+    #: group size the allocator asks for one grid per Problem 1 cap plus
+    #: one Problem 2 grid (7 on a six-cap spec), so this holds the hot grid
+    #: set of group sizes 2–5 at once.
+    _GATHER_CACHE_SIZE = 32
 
     def __init__(
         self, basis: BasisFunctions = DEFAULT_BASIS, spec: GPUSpec = A100_SPEC

@@ -8,9 +8,9 @@ and returns the combination that maximizes the policy's objective.
 Two things keep the allocator fast when the candidate space grows beyond
 the paper's 24-point grid (more applications, finer partitioning):
 
-* the whole ``(S, P)`` grid is predicted in one **batched** NumPy call
-  (see :meth:`LinearPerfModel.predict_candidates`) whenever the search
-  strategy can consume it, and
+* every candidate grid, the paper's included, is predicted in one
+  **batched** NumPy call (see :meth:`LinearPerfModel.predict_candidates`),
+  then scored and selected on arrays, and
 * identical requests are answered from a small **LRU decision cache**
   keyed by the profile signatures, the candidate grid, and the policy.
 """
@@ -20,13 +20,20 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Hashable, Sequence
 
+import numpy as np
+
 from repro.config import DEFAULT_POWER_CAPS
 from repro.core.decision import AllocationDecision, CandidateEvaluation
 from repro.core.metrics import fairness as fairness_metric
 from repro.core.metrics import fairness_batch, weighted_speedup, weighted_speedup_batch
 from repro.core.model import LinearPerfModel
 from repro.core.policies import Policy, Problem1Policy, Problem2Policy
-from repro.core.search import ExhaustiveSearch, SearchCandidate, SearchStrategy
+from repro.core.search import (
+    EvaluatedCandidates,
+    ExhaustiveSearch,
+    SearchCandidate,
+    SearchStrategy,
+)
 from repro.errors import InfeasibleProblemError, OptimizationError
 from repro.gpu.mig import CORUN_STATES, PartitionState
 from repro.sim.counters import CounterVector
@@ -103,13 +110,6 @@ class ResourcePowerAllocator:
         in the paper).
     cache_size:
         Capacity of the LRU decision cache (0 disables caching).
-    batch_threshold:
-        Candidate-grid size above which the batched NumPy evaluation is
-        used.  The default equals the paper's 4-state × 6-cap grid, so the
-        original evaluation stays bit-identical to the scalar path while
-        every larger (N-way / finer-grained) grid is vectorized; batched
-        and scalar results agree to floating-point associativity either
-        way.  Set to 0 to always batch.
     """
 
     def __init__(
@@ -119,7 +119,6 @@ class ResourcePowerAllocator:
         power_caps: Sequence[float] = DEFAULT_POWER_CAPS,
         search: SearchStrategy | None = None,
         cache_size: int = 4096,
-        batch_threshold: int = 24,
     ) -> None:
         if not candidate_states:
             raise OptimizationError("at least one candidate partition state is required")
@@ -132,9 +131,6 @@ class ResourcePowerAllocator:
         self._power_caps = tuple(float(p) for p in power_caps)
         self._search: SearchStrategy = search if search is not None else ExhaustiveSearch()
         self._cache = DecisionCache(cache_size)
-        if batch_threshold < 0:
-            raise OptimizationError(f"batch_threshold must be >= 0, got {batch_threshold}")
-        self._batch_threshold = batch_threshold
 
     # ------------------------------------------------------------------
     @property
@@ -167,53 +163,12 @@ class ResourcePowerAllocator:
         power_cap_w: float,
         policy: Policy,
     ) -> CandidateEvaluation:
-        """Model-predicted metrics of one ``(S, P)`` combination."""
-        predictions = self._model.predict_corun(counters_list, state, power_cap_w)
-        return self._evaluation_from_predictions(
-            predictions, state, power_cap_w, policy
-        )
+        """Model-predicted metrics of one ``(S, P)`` combination.
 
-    def evaluate_candidates_batch(
-        self,
-        counters_list: Sequence[CounterVector],
-        candidates: Sequence[SearchCandidate],
-        policy: Policy,
-    ) -> tuple[CandidateEvaluation, ...]:
-        """Metrics of many ``(S, P)`` combinations via one vectorized call.
-
-        The per-candidate records are identical to what
-        :meth:`evaluate_candidate` produces; only the model evaluation is
-        batched.
+        A per-candidate convenience for analysis code; :meth:`solve` scores
+        whole grids through :meth:`evaluate_candidates_batch`.
         """
-        predictions = self._model.predict_candidates(
-            counters_list, [(c.state, c.power_cap_w) for c in candidates]
-        )
-        throughputs = weighted_speedup_batch(predictions)
-        fairnesses = fairness_batch(predictions)
-        evaluations = []
-        for index, candidate in enumerate(candidates):
-            throughput = float(throughputs[index])
-            fairness = float(fairnesses[index])
-            evaluations.append(
-                CandidateEvaluation(
-                    state=candidate.state,
-                    power_cap_w=float(candidate.power_cap_w),
-                    predicted_rperfs=tuple(float(v) for v in predictions[index]),
-                    predicted_throughput=throughput,
-                    predicted_fairness=fairness,
-                    objective=policy.objective(throughput, candidate.power_cap_w),
-                    feasible=policy.is_feasible(fairness),
-                )
-            )
-        return tuple(evaluations)
-
-    def _evaluation_from_predictions(
-        self,
-        predictions: tuple[float, ...],
-        state: PartitionState,
-        power_cap_w: float,
-        policy: Policy,
-    ) -> CandidateEvaluation:
+        predictions = self._model.predict_corun(counters_list, state, power_cap_w)
         throughput = weighted_speedup(predictions)
         fairness = fairness_metric(predictions)
         return CandidateEvaluation(
@@ -223,8 +178,51 @@ class ResourcePowerAllocator:
             predicted_throughput=throughput,
             predicted_fairness=fairness,
             objective=policy.objective(throughput, power_cap_w),
-            feasible=policy.is_feasible(fairness),
+            feasible=bool(policy.is_feasible(fairness)),
         )
+
+    def evaluate_candidates_batch(
+        self,
+        counters_list: Sequence[CounterVector],
+        candidates: Sequence[SearchCandidate],
+        policy: Policy,
+    ) -> EvaluatedCandidates:
+        """Metrics of many ``(S, P)`` combinations via one vectorized call.
+
+        Predictions, throughput, fairness, objective and feasibility are
+        computed over the grid's arrays; the per-candidate records are then
+        built in one pass from plain Python values.
+        """
+        predictions = self._model.predict_candidates(
+            counters_list, [(c.state, c.power_cap_w) for c in candidates]
+        )
+        power_caps = np.array([c.power_cap_w for c in candidates], dtype=float)
+        throughputs = weighted_speedup_batch(predictions)
+        fairnesses = fairness_batch(predictions)
+        objectives = policy.objective(throughputs, power_caps)
+        feasible = np.asarray(policy.is_feasible(fairnesses), dtype=bool)
+        columns = zip(
+            candidates,
+            power_caps.tolist(),
+            predictions.tolist(),
+            throughputs.tolist(),
+            fairnesses.tolist(),
+            objectives.tolist(),
+            feasible.tolist(),
+        )
+        evaluations = tuple(
+            CandidateEvaluation(
+                state=candidate.state,
+                power_cap_w=cap,
+                predicted_rperfs=tuple(rperfs),
+                predicted_throughput=throughput,
+                predicted_fairness=fairness,
+                objective=objective,
+                feasible=ok,
+            )
+            for candidate, cap, rperfs, throughput, fairness, objective, ok in columns
+        )
+        return EvaluatedCandidates(evaluations, objectives, feasible)
 
     def _states_for(
         self, n_apps: int, states: Sequence[PartitionState] | None
@@ -283,27 +281,11 @@ class ResourcePowerAllocator:
             return cached
         candidates = self._candidates(policy, matching_states)
 
-        def evaluate(candidate: SearchCandidate) -> CandidateEvaluation:
-            return self.evaluate_candidate(
-                counters_list, candidate.state, candidate.power_cap_w, policy
-            )
-
-        def evaluate_batch(
-            batch: Sequence[SearchCandidate],
-        ) -> tuple[CandidateEvaluation, ...]:
+        def evaluate(batch: Sequence[SearchCandidate]) -> EvaluatedCandidates:
             return self.evaluate_candidates_batch(counters_list, batch, policy)
 
-        use_batch = (
-            getattr(self._search, "accepts_batch", False)
-            and len(candidates) > self._batch_threshold
-        )
         try:
-            if use_batch:
-                best, evaluations = self._search.search(
-                    candidates, evaluate, evaluate_batch=evaluate_batch
-                )
-            else:
-                best, evaluations = self._search.search(candidates, evaluate)
+            best, evaluations = self._search.search(candidates, evaluate)
         except OptimizationError as exc:
             raise InfeasibleProblemError(
                 f"policy {policy.name}: {exc} "

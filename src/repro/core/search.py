@@ -6,12 +6,15 @@ a larger space (finer partitioning, finer power steps, more than two
 applications) would call for a heuristic such as hill climbing; both are
 implemented here behind the same interface so the allocator — and the
 ablation benchmark comparing them — can switch freely.
+
+Every strategy scores candidates through one batch evaluator (backed by the
+model's vectorized grid prediction) and selects on the returned arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -32,69 +35,84 @@ class SearchCandidate:
         return f"{self.state.describe()} @ {self.power_cap_w:.0f}W"
 
 
-#: An evaluator maps a candidate to its model-predicted metrics.
-Evaluator = Callable[[SearchCandidate], CandidateEvaluation]
+@dataclass(frozen=True)
+class EvaluatedCandidates:
+    """Metrics of a batch of candidates, in candidate order.
 
-#: A batch evaluator maps many candidates to their metrics in one call
-#: (backed by the model's vectorized grid prediction).
-BatchEvaluator = Callable[
-    [Sequence[SearchCandidate]], tuple[CandidateEvaluation, ...]
-]
+    ``evaluations`` holds one record per candidate; ``objectives`` and
+    ``feasible`` are the same values as arrays, which is what selection
+    runs on.
+    """
+
+    evaluations: tuple[CandidateEvaluation, ...]
+    objectives: np.ndarray
+    feasible: np.ndarray
+
+    @classmethod
+    def from_evaluations(
+        cls, evaluations: Iterable[CandidateEvaluation]
+    ) -> "EvaluatedCandidates":
+        """Wrap per-candidate records, deriving the arrays from them."""
+        records = tuple(evaluations)
+        return cls(
+            evaluations=records,
+            objectives=np.array([e.objective for e in records], dtype=float),
+            feasible=np.array([e.feasible for e in records], dtype=bool),
+        )
+
+    def best_feasible(self) -> CandidateEvaluation:
+        """The first feasible candidate with the largest objective.
+
+        Ties break towards the earlier candidate, as ``max()`` over the
+        records would.
+        """
+        indices = np.flatnonzero(self.feasible)
+        if indices.size == 0:
+            raise OptimizationError(
+                "no evaluated candidate satisfies the fairness constraint"
+            )
+        return self.evaluations[int(indices[np.argmax(self.objectives[indices])])]
+
+
+#: A batch evaluator maps candidates to their model-predicted metrics in
+#: one call (backed by the model's vectorized grid prediction).
+BatchEvaluator = Callable[[Sequence[SearchCandidate]], EvaluatedCandidates]
 
 
 class SearchStrategy(Protocol):
-    """Interface of a search strategy over candidates.
-
-    Strategies that can exploit a vectorized evaluator advertise it with a
-    class attribute ``accepts_batch = True`` and receive an optional
-    ``evaluate_batch`` callable; the scalar ``evaluate`` is always supplied.
-    """
+    """Interface of a search strategy over candidates."""
 
     name: str
 
     def search(
         self,
         candidates: Sequence[SearchCandidate],
-        evaluate: Evaluator,
+        evaluate: BatchEvaluator,
     ) -> tuple[CandidateEvaluation, tuple[CandidateEvaluation, ...]]:
         """Return the best feasible evaluation and every evaluation performed."""
         ...
 
 
-def _best_feasible(
-    evaluations: Sequence[CandidateEvaluation],
-) -> CandidateEvaluation:
-    feasible = [e for e in evaluations if e.feasible]
-    if not feasible:
-        raise OptimizationError("no evaluated candidate satisfies the fairness constraint")
-    return max(feasible, key=lambda e: e.objective)
-
-
 class ExhaustiveSearch:
     """Evaluate every candidate (the paper's approach for the 24-point grid).
 
-    When the caller supplies a vectorized ``evaluate_batch`` the whole grid
-    is evaluated in one call, which is what keeps the allocator fast on the
-    much larger N-way candidate spaces.
+    The whole grid goes through the batch evaluator in one call, which is
+    what keeps the allocator fast on the much larger N-way candidate
+    spaces.
     """
 
     name = "exhaustive"
-    accepts_batch = True
 
     def search(
         self,
         candidates: Sequence[SearchCandidate],
-        evaluate: Evaluator,
-        evaluate_batch: BatchEvaluator | None = None,
+        evaluate: BatchEvaluator,
     ) -> tuple[CandidateEvaluation, tuple[CandidateEvaluation, ...]]:
         """Evaluate every candidate and return the best feasible one."""
         if not candidates:
             raise OptimizationError("the candidate space is empty")
-        if evaluate_batch is not None:
-            evaluations = tuple(evaluate_batch(candidates))
-        else:
-            evaluations = tuple(evaluate(candidate) for candidate in candidates)
-        return _best_feasible(evaluations), evaluations
+        evaluated = evaluate(candidates)
+        return evaluated.best_feasible(), evaluated.evaluations
 
 
 class HillClimbingSearch:
@@ -105,7 +123,8 @@ class HillClimbingSearch:
     Starting from one (or several, ``restarts``) random grid points the
     search repeatedly moves to the best improving neighbour (±1 along either
     axis).  Infeasible points are allowed as intermediate steps but can never
-    be returned as the final answer.
+    be returned as the final answer.  The start cell and each step's
+    not-yet-evaluated neighbours are scored in one batch call.
     """
 
     name = "hill-climbing"
@@ -119,7 +138,7 @@ class HillClimbingSearch:
     def search(
         self,
         candidates: Sequence[SearchCandidate],
-        evaluate: Evaluator,
+        evaluate: BatchEvaluator,
     ) -> tuple[CandidateEvaluation, tuple[CandidateEvaluation, ...]]:
         """Hill climb from ``restarts`` random starting points."""
         if not candidates:
@@ -139,10 +158,12 @@ class HillClimbingSearch:
         rng = np.random.default_rng(self._seed)
         cache: dict[tuple[int, int], CandidateEvaluation] = {}
 
-        def evaluate_cell(cell: tuple[int, int]) -> CandidateEvaluation:
-            if cell not in cache:
-                cache[cell] = evaluate(grid[cell])
-            return cache[cell]
+        def evaluate_cells(cells: list[tuple[int, int]]) -> None:
+            # One batch call for the cells not scored yet, in ``cells`` order.
+            fresh = [cell for cell in cells if cell not in cache]
+            if fresh:
+                evaluated = evaluate([grid[cell] for cell in fresh])
+                cache.update(zip(fresh, evaluated.evaluations))
 
         def score(evaluation: CandidateEvaluation) -> float:
             # Infeasible points rank below every feasible point.
@@ -153,23 +174,22 @@ class HillClimbingSearch:
         cells = sorted(grid)
         for _ in range(self._restarts):
             current = cells[int(rng.integers(len(cells)))]
-            current_eval = evaluate_cell(current)
+            evaluate_cells([current])
+            current_eval = cache[current]
             improved = True
             while improved:
                 improved = False
                 si, pi = current
                 neighbours = [
-                    (si + 1, pi),
-                    (si - 1, pi),
-                    (si, pi + 1),
-                    (si, pi - 1),
+                    cell
+                    for cell in ((si + 1, pi), (si - 1, pi), (si, pi + 1), (si, pi - 1))
+                    if cell in grid
                 ]
+                evaluate_cells(neighbours)
                 for cell in neighbours:
-                    if cell not in grid:
-                        continue
-                    candidate_eval = evaluate_cell(cell)
+                    candidate_eval = cache[cell]
                     if score(candidate_eval) > score(current_eval):
                         current, current_eval = cell, candidate_eval
                         improved = True
-        evaluations = tuple(cache.values())
-        return _best_feasible(evaluations), evaluations
+        evaluated = EvaluatedCandidates.from_evaluations(cache.values())
+        return evaluated.best_feasible(), evaluated.evaluations

@@ -62,6 +62,16 @@ class TestDecisionRequest:
         with pytest.raises(ConfigurationError, match="spec"):
             DecisionRequest(apps=("stream",), spec="v100")
 
+    @pytest.mark.parametrize("cap", [float("nan"), float("inf"), -5.0, 0.0])
+    def test_non_finite_or_non_positive_cap_rejected(self, cap):
+        with pytest.raises(ConfigurationError, match="power_cap_w"):
+            DecisionRequest(apps=("igemm4", "stream"), power_cap_w=cap)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ConfigurationError, match="alpha"):
+            DecisionRequest(apps=("igemm4", "stream"), alpha=alpha)
+
     def test_unknown_field_rejected_by_from_dict(self):
         with pytest.raises(ConfigurationError, match="unknown field"):
             DecisionRequest.from_dict({"apps": ["stream"], "powercap": 230})

@@ -325,6 +325,18 @@ class TestGatherCacheEviction:
             model.predict_candidates(counters, hot_b)
         assert model.gather_cache_builds == warm + 2 * len(cold)
 
+    def test_a_spec_hot_grid_set_is_gathered_once(self, nway_workflow):
+        # A decide loop on a six-cap spec with groups of two and three
+        # cycles 2 x (6 Problem 1 grids + 1 Problem 2 grid) = 14 grids;
+        # each must be gathered exactly once, however often it recurs.
+        model = LinearPerfModel.from_dict(nway_workflow.model.to_dict())
+        counters = _counters(nway_workflow, ["stream", "hgemm"])
+        grids = self._pair_grids(14)
+        for _ in range(3):
+            for grid in grids:
+                model.predict_candidates(counters, grid)
+        assert model.gather_cache_builds == 14
+
     def test_memo_stays_bounded(self, nway_workflow):
         model = nway_workflow.model
         counters = _counters(nway_workflow, ["stream", "hgemm"])

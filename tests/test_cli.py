@@ -218,6 +218,12 @@ class TestExitCodes:
         assert code == 2
         assert "alpha" in text
 
+    @pytest.mark.parametrize("cap", ["nan", "inf", "-5"])
+    def test_bad_power_cap_exits_2_before_training(self, cap):
+        code, text = run_cli(["decide", "igemm4", "stream", "--power-cap", cap])
+        assert code == 2
+        assert "power_cap_w" in text
+
 
 class TestAccuracyAndFigures:
     def test_accuracy_summary(self):

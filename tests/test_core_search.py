@@ -6,7 +6,12 @@ import pytest
 
 from repro.config import DEFAULT_POWER_CAPS
 from repro.core.decision import CandidateEvaluation
-from repro.core.search import ExhaustiveSearch, HillClimbingSearch, SearchCandidate
+from repro.core.search import (
+    EvaluatedCandidates,
+    ExhaustiveSearch,
+    HillClimbingSearch,
+    SearchCandidate,
+)
 from repro.errors import OptimizationError
 from repro.gpu.mig import CORUN_STATES
 
@@ -19,17 +24,23 @@ def make_candidates(power_caps=DEFAULT_POWER_CAPS):
     ]
 
 
-def make_evaluator(objective_fn, feasible_fn=lambda c: True):
-    def evaluate(candidate: SearchCandidate) -> CandidateEvaluation:
-        objective = objective_fn(candidate)
-        return CandidateEvaluation(
-            state=candidate.state,
-            power_cap_w=candidate.power_cap_w,
-            predicted_rperfs=(0.5, 0.5),
-            predicted_throughput=1.0,
-            predicted_fairness=0.5,
-            objective=objective,
-            feasible=feasible_fn(candidate),
+def make_evaluator(objective_fn, feasible_fn=lambda c: True, calls=None):
+    """A batch evaluator; ``calls`` (a list) records each batch it scores."""
+
+    def evaluate(batch) -> EvaluatedCandidates:
+        if calls is not None:
+            calls.append(list(batch))
+        return EvaluatedCandidates.from_evaluations(
+            CandidateEvaluation(
+                state=candidate.state,
+                power_cap_w=candidate.power_cap_w,
+                predicted_rperfs=(0.5, 0.5),
+                predicted_throughput=1.0,
+                predicted_fairness=0.5,
+                objective=objective_fn(candidate),
+                feasible=feasible_fn(candidate),
+            )
+            for candidate in batch
         )
 
     return evaluate
@@ -64,6 +75,27 @@ class TestExhaustiveSearch:
         with pytest.raises(OptimizationError):
             ExhaustiveSearch().search([], make_evaluator(smooth_objective))
 
+    def test_scores_the_grid_in_one_batch_call(self):
+        calls = []
+        candidates = make_candidates()
+        ExhaustiveSearch().search(candidates, make_evaluator(smooth_objective, calls=calls))
+        assert calls == [candidates]
+
+    def test_ties_break_towards_the_first_candidate(self):
+        """Selection on arrays keeps ``max()``'s first-maximum rule."""
+        candidates = make_candidates()
+        best, _ = ExhaustiveSearch().search(
+            candidates,
+            make_evaluator(
+                lambda c: 1.0 if c.power_cap_w >= 190.0 else 0.0,
+                feasible_fn=lambda c: c.state.label != "S1",
+            ),
+        )
+        first = next(
+            c for c in candidates if c.state.label != "S1" and c.power_cap_w >= 190.0
+        )
+        assert (best.state, best.power_cap_w) == (first.state, first.power_cap_w)
+
 
 class TestHillClimbingSearch:
     def test_finds_optimum_of_unimodal_objective(self):
@@ -91,6 +123,22 @@ class TestHillClimbingSearch:
         best_b, _ = HillClimbingSearch(restarts=2, seed=7).search(make_candidates(), evaluator)
         assert best_a.state.label == best_b.state.label
         assert best_a.power_cap_w == best_b.power_cap_w
+
+    def test_batches_the_start_cell_and_each_neighbour_set(self):
+        """Every batch is either one start cell or the unscored neighbours
+        of one step; no candidate is scored twice, and the records come
+        back in evaluation order."""
+        calls = []
+        _, evaluations = HillClimbingSearch(restarts=3, seed=0).search(
+            make_candidates(), make_evaluator(smooth_objective, calls=calls)
+        )
+        scored = [candidate for batch in calls for candidate in batch]
+        assert len(scored) == len(set(scored)) == len(evaluations)
+        assert [(e.state, e.power_cap_w) for e in evaluations] == [
+            (c.state, c.power_cap_w) for c in scored
+        ]
+        assert all(1 <= len(batch) <= 4 for batch in calls)
+        assert len(calls) < len(scored)
 
     def test_invalid_restarts(self):
         with pytest.raises(OptimizationError):
