@@ -558,6 +558,17 @@ class LinearPerfModel:
             predictions[:, i] = np.maximum(0.0, acc)
         return predictions
 
+    def prepare_candidates(
+        self, candidates: Sequence[tuple[PartitionState, float]]
+    ) -> None:
+        """Gather a grid's coefficients ahead of its first prediction.
+
+        :meth:`predict_candidates` on the same grid (same states and caps,
+        in the same order) then finds the gather memoized.
+        """
+        if candidates:
+            self._gather_coefficients(candidates, candidates[0][0].n_apps)
+
     def _gather_coefficients(
         self,
         candidates: Sequence[tuple[PartitionState, float]],

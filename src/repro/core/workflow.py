@@ -303,6 +303,7 @@ class OnlineAllocator:
         self._spec = spec
         self._model = model
         self._state_cache: dict[tuple, tuple[PartitionState, ...]] = {}
+        self._state_pools: dict[int, tuple[PartitionState, ...]] = {}
         self._decide_cache: OrderedDict[tuple, AllocationDecision] = OrderedDict()
         # Policy signature memo keyed by object identity (policies are
         # frozen) with a weakref guard: a dead policy's recycled address
@@ -370,17 +371,49 @@ class OnlineAllocator:
         self._state_cache = {
             key: value for key, value in self._state_cache.items() if key[2] == version
         }
-        configured = tuple(
-            state
-            for state in self._allocator.candidate_states
-            if state.n_apps == n_apps
-        )
-        pool = configured if configured else enumerate_partition_states(n_apps, self._spec)
         supported = tuple(
-            state for state in pool if self._model.supports_candidate(state, caps)
+            state
+            for state in self._state_pool(n_apps)
+            if self._model.supports_candidate(state, caps)
         )
         self._state_cache[cache_key] = supported
         return supported
+
+    def prepare(self, group_sizes: Iterable[int]) -> None:
+        """Build every candidate grid a decide for these group sizes searches.
+
+        Each Problem 1 cap and the Problem 2 cap grid is a grid of its own:
+        preparing it filters its states (:meth:`candidate_states_for`) and
+        gathers its coefficients
+        (:meth:`~repro.core.model.LinearPerfModel.prepare_candidates`), work
+        the first decide on that grid would otherwise pay.  Decisions do
+        not change.
+        """
+        caps = self._allocator.power_caps
+        for n_apps in group_sizes:
+            for grid in [(cap,) for cap in caps] + [caps]:
+                states = self.candidate_states_for(n_apps, grid)
+                self._model.prepare_candidates(
+                    [(state, cap) for state in states for cap in grid]
+                )
+
+    def _state_pool(self, n_apps: int) -> tuple[PartitionState, ...]:
+        """The states a group of ``n_apps`` may use, before the model's filter.
+
+        The pool depends only on the group size (configured states and the
+        spec never change), so it is enumerated once per size rather than
+        once per cap grid: each Problem 1 cap is its own grid.
+        """
+        pool = self._state_pools.get(n_apps)
+        if pool is None:
+            configured = tuple(
+                state
+                for state in self._allocator.candidate_states
+                if state.n_apps == n_apps
+            )
+            pool = configured or tuple(enumerate_partition_states(n_apps, self._spec))
+            self._state_pools[n_apps] = pool
+        return pool
 
     def _policy_cache_key(self, policy: Policy) -> tuple:
         """The hashable signature of ``policy``, memoized per live object.

@@ -98,6 +98,54 @@ class TestDecide:
         assert result.candidates_evaluated == len(result.evaluations) > 0
 
 
+class TestRepeatedAndFirstDecides:
+    def test_a_repeated_request_reuses_its_converted_result(self):
+        service = PlannerService()
+        request = DecisionRequest(apps=("igemm4", "stream"), power_cap_w=230.0)
+        first = service.decide(request)
+        assert service.decide(request) is first
+        swapped = service.decide(
+            DecisionRequest(apps=("stream", "igemm4"), power_cap_w=230.0)
+        )
+        assert swapped.apps == ("stream", "igemm4")
+
+    def test_a_new_decision_is_converted_afresh(self):
+        service = PlannerService()
+        request = DecisionRequest(apps=("igemm4", "stream"), power_cap_w=230.0)
+        first = service.decide(request)
+        service.drop_sessions()  # a new session answers with a new decision
+        again = service.decide(request)
+        assert again is not first
+        assert again.to_dict() == first.to_dict()
+
+    def test_result_memo_stays_bounded(self):
+        service = PlannerService()
+        service.RESULT_MEMO_SIZE = 1
+        first = DecisionRequest(apps=("igemm4", "stream"), power_cap_w=230.0)
+        second = DecisionRequest(apps=("hgemm", "bfs"), power_cap_w=230.0)
+        kept = service.decide(first)
+        service.decide(second)
+        again = service.decide(first)
+        assert again is not kept and again == kept
+
+    def test_session_build_prepares_the_grids_it_serves(self):
+        service = PlannerService()
+        session = service.session_for("mi300x", 3)
+        model = session.workflow.online.allocator.model
+        built = model.gather_cache_builds
+        # Group sizes 2 and 3: each Problem 1 cap and the Problem 2 grid.
+        assert built == 2 * (len(session.power_caps) + 1)
+        for apps in (("igemm4", "stream"), ("igemm4", "stream", "bfs")):
+            requests = [
+                DecisionRequest(apps, "problem1", power_cap_w=cap, alpha=0.0, spec="mi300x")
+                for cap in session.power_caps
+            ]
+            requests.append(DecisionRequest(apps, "problem2", alpha=0.0, spec="mi300x"))
+            for request in requests:
+                service.decide(request)
+        assert model.gather_cache_builds == built
+
+
 class TestDecideBatch:
     def test_batch_matches_individual_decisions(self, training_counter):
         service = PlannerService()

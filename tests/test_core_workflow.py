@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.model import HardwareStateKey, required_state_keys
-from repro.core.policies import Problem1Policy
+from repro.core import workflow as workflow_module
+from repro.core.model import HardwareStateKey, LinearPerfModel, required_state_keys
+from repro.core.policies import Problem1Policy, Problem2Policy
 from repro.core.workflow import OfflineTrainer, OnlineAllocator, PaperWorkflow, TrainingPlan
 from repro.errors import MissingProfileError
 from repro.gpu.mig import CORUN_STATES, MemoryOption
@@ -105,6 +106,43 @@ class TestOnlineAllocator:
         before = len(allocator.database)
         allocator.ensure_profiled(DEFAULT_SUITE.get("stream"))
         assert len(allocator.database) == before
+
+    def test_state_pool_is_enumerated_once_per_group_size(
+        self, small_workflow, monkeypatch
+    ):
+        sizes = []
+        original = workflow_module.enumerate_partition_states
+
+        def counting(n_apps, spec, *args, **kwargs):
+            sizes.append(n_apps)
+            return original(n_apps, spec, *args, **kwargs)
+
+        monkeypatch.setattr(workflow_module, "enumerate_partition_states", counting)
+        allocator = OnlineAllocator(small_workflow.model, power_caps=(230.0, 250.0))
+        # Every Problem 1 cap is a grid of its own; the pool behind them is not.
+        for caps in ((230.0,), (250.0,), (230.0, 250.0)):
+            allocator.candidate_states_for(3, caps)
+        assert sizes == [3]
+
+    def test_prepare_gathers_every_grid_a_decide_searches(self, small_workflow):
+        model = LinearPerfModel.from_dict(small_workflow.model.to_dict())
+        database = small_workflow.online.database
+        allocator = OnlineAllocator(model, database=database, power_caps=(230.0, 250.0))
+        allocator.prepare([2])
+        # One grid per Problem 1 cap plus the Problem 2 grid.
+        assert model.gather_cache_builds == 3
+        reference = OnlineAllocator(
+            small_workflow.model, database=database, power_caps=(230.0, 250.0)
+        )
+        policies = [
+            Problem1Policy(power_cap_w=230.0),
+            Problem1Policy(power_cap_w=250.0),
+            Problem2Policy(power_caps=(230.0, 250.0)),
+        ]
+        for policy in policies:
+            decision = allocator.decide(["igemm4", "stream"], policy)
+            assert decision == reference.decide(["igemm4", "stream"], policy)
+        assert model.gather_cache_builds == 3
 
 
 class TestPaperWorkflow:
