@@ -42,6 +42,24 @@ def _check_spec(spec: str) -> str:
     return spec
 
 
+def _check_alpha(alpha: float) -> float:
+    alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise ConfigurationError(f"alpha must be a finite number, got {alpha}")
+    return alpha
+
+
+def _check_watts(name: str, watts: float | None) -> float | None:
+    if watts is None:
+        return None
+    watts = float(watts)
+    if not (math.isfinite(watts) and watts > 0):
+        raise ConfigurationError(
+            f"{name} must be a finite positive number of watts, got {watts}"
+        )
+    return watts
+
+
 @dataclass(frozen=True)
 class DecisionRequest:
     """One allocation question: the best ``(S, P)`` for a co-location group.
@@ -85,16 +103,8 @@ class DecisionRequest:
             raise ConfigurationError("a decision request needs at least one application")
         _check_policy(self.policy)
         _check_spec(self.spec)
-        object.__setattr__(self, "alpha", float(self.alpha))
-        if not math.isfinite(self.alpha):
-            raise ConfigurationError(f"alpha must be a finite number, got {self.alpha}")
-        if self.power_cap_w is not None:
-            object.__setattr__(self, "power_cap_w", float(self.power_cap_w))
-            if not (math.isfinite(self.power_cap_w) and self.power_cap_w > 0):
-                raise ConfigurationError(
-                    f"power_cap_w must be a finite positive number of watts, "
-                    f"got {self.power_cap_w}"
-                )
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
+        object.__setattr__(self, "power_cap_w", _check_watts("power_cap_w", self.power_cap_w))
 
     @property
     def group_size(self) -> int:
@@ -119,8 +129,10 @@ class SimulationRequest:
     generated (Poisson by default, bursty when ``burst_size`` is set) from
     the named job ``mix``.  The scheduling knobs mirror
     :class:`~repro.cluster.scheduler.SchedulerConfig` and
-    :class:`~repro.cluster.events.SimulationConfig`; deeper validation
-    (positive rates, budget floors, ...) happens in those layers.
+    :class:`~repro.cluster.events.SimulationConfig`.  The power cap and
+    budget must be finite positive watts and ``alpha`` finite, as in
+    :class:`DecisionRequest`; deeper validation (positive rates, budget
+    floors, ...) happens in those layers.
     """
 
     trace_path: str | None = None
@@ -153,8 +165,11 @@ class SimulationRequest:
             raise ConfigurationError(
                 f"burst_size must be positive, got {self.burst_size}"
             )
-        if self.power_cap_w is not None:
-            object.__setattr__(self, "power_cap_w", float(self.power_cap_w))
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
+        object.__setattr__(self, "power_cap_w", _check_watts("power_cap_w", self.power_cap_w))
+        object.__setattr__(
+            self, "power_budget_w", _check_watts("power_budget_w", self.power_budget_w)
+        )
 
     def to_dict(self) -> dict[str, Any]:
         """Plain-data form (JSON-safe)."""

@@ -14,6 +14,7 @@ the batch job manager's schedule exactly (parity-tested).
 from __future__ import annotations
 
 import heapq
+import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -76,9 +77,11 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"repartition_latency_s must be >= 0, got {self.repartition_latency_s}"
             )
-        if self.power_budget_w is not None and self.power_budget_w <= 0:
+        if self.power_budget_w is not None and not (
+            math.isfinite(self.power_budget_w) and self.power_budget_w > 0
+        ):
             raise ConfigurationError(
-                f"power_budget_w must be positive, got {self.power_budget_w}"
+                f"power_budget_w must be finite and positive, got {self.power_budget_w}"
             )
 
 

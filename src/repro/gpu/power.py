@@ -10,7 +10,7 @@ analytically:
   utilization of the CUDA cores, Tensor Cores, and DRAM bandwidth.
 * :meth:`PowerModel.max_frequency_under_cap` plays the role of the driver's
   governor: it finds the highest (quantized) clock at which the modelled
-  power stays under the cap.
+  power stays under the cap, bisecting only until the clock step is fixed.
 
 The power decomposition is deliberately simple but captures the effects that
 drive the paper's observations:
@@ -195,25 +195,31 @@ class PowerModel:
     # ------------------------------------------------------------------
     def max_frequency_under_cap(
         self,
-        loads_at: Callable[[float], Sequence[InstanceLoad]],
+        power_at: Callable[[float], float],
         power_cap_w: float,
-        powered_gpcs: int | None = None,
         tolerance: float = 1e-4,
     ) -> float:
         """Highest quantized relative frequency whose power fits under the cap.
 
+        The governor bisects the relative clock and floors the result to the
+        clock ladder.  Flooring is monotone, so once both ends of the
+        bracket floor to the same step ``q`` every later lower end does too;
+        the bisection stops there whenever the final guard would keep ``q``
+        (its power fits the cap, or it is the lowest clock), and otherwise
+        runs on to ``tolerance`` so the guard's fallback sees the same lower
+        end.  Either way the answer is the full bisection's, bit for bit.
+
         Parameters
         ----------
-        loads_at:
-            Callable mapping a relative frequency to the instance loads at
-            that frequency.  The execution engine supplies this because the
-            pipe utilizations themselves depend on the operating point (a
+        power_at:
+            Callable mapping a relative frequency to the chip power in watts
+            at that frequency.  The execution engine supplies this because
+            the pipe utilizations themselves depend on the operating point (a
             throttled compute-bound kernel stays fully busy; a throttled
-            memory-bound kernel becomes *less* compute-utilized).
+            memory-bound kernel becomes *less* compute-utilized), and it
+            memoizes the curve per co-location group.
         power_cap_w:
             The chip-level power cap in watts.
-        powered_gpcs:
-            Number of powered GPCs (see :meth:`breakdown`).
         tolerance:
             Bisection convergence tolerance on the relative frequency.
 
@@ -225,27 +231,35 @@ class PowerModel:
             stop the clock entirely either).
         """
         self._spec.validate_power_cap(power_cap_w)
-        lo = self._spec.min_relative_frequency
+        min_relative = self._spec.min_relative_frequency
+        quantize = self._dvfs.quantize
+        lo = min_relative
         hi = 1.0
-
-        def power(f: float) -> float:
-            return self.total_power(loads_at(f), f, powered_gpcs)
-
-        if power(hi) <= power_cap_w:
+        if power_at(hi) <= power_cap_w:
             return 1.0
-        if power(lo) > power_cap_w:
-            return self._dvfs.quantize(lo)
+        if power_at(lo) > power_cap_w:
+            return quantize(lo)
+
+        def over_cap(selected: float) -> bool:
+            # Quantization floors the frequency, so the cap normally still
+            # holds; this catches pathological cases where it does not.
+            return power_at(selected) > power_cap_w + 1e-6 and selected > min_relative
+
+        step_fixed = False
         # The power model is monotonically increasing in f for fixed work,
         # so a plain bisection finds the crossing point.
         while hi - lo > tolerance:
+            if not step_fixed and quantize(lo) == quantize(hi):
+                step_fixed = True
+                selected = quantize(lo)
+                if not over_cap(selected):
+                    return selected
             mid = 0.5 * (lo + hi)
-            if power(mid) <= power_cap_w:
+            if power_at(mid) <= power_cap_w:
                 lo = mid
             else:
                 hi = mid
-        selected = self._dvfs.quantize(lo)
-        # Quantization floors the frequency, so the cap still holds; guard
-        # against pathological cases where flooring is not possible.
-        if power(selected) > power_cap_w + 1e-6 and selected > self._spec.min_relative_frequency:
-            selected = self._dvfs.quantize(max(self._spec.min_relative_frequency, lo - self._spec.clock_step_ghz / self._spec.max_clock_ghz))
+        selected = quantize(lo)
+        if over_cap(selected):
+            selected = quantize(max(min_relative, lo - self._spec.clock_step_ghz / self._spec.max_clock_ghz))
         return selected

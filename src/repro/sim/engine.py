@@ -14,8 +14,13 @@
 The simulator self-consistently resolves the circular dependencies between
 these pieces (bandwidth shares depend on elapsed times, elapsed times depend
 on the clock, the clock depends on utilizations, utilizations depend on
-elapsed times) with a small fixed-point iteration nested inside the
-governor's bisection.
+elapsed times): the governor bisects the clock, and each chip power it asks
+for comes from a small bandwidth fixed point at that clock.  For fixed
+placements that power is a pure function of the clock, so the simulator
+keeps each co-location group's power curve (clock -> watts), and its fixed
+point at each clock the governor selected, in a bounded memo.  Bisections
+at different caps walk the same midpoints and mostly read it, and the
+governor stops bisecting once the clock step is fixed.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.errors import SimulationError
 from repro.gpu.mig import MemoryOption, PartitionState, solo_state
@@ -47,6 +52,12 @@ _DAMPING = 0.6
 #: combinations; a bounded application mix stays far below this).
 _RUN_CACHE_SIZE = 4096
 
+#: Co-location groups whose power curve (relative clock -> chip watts) is
+#: kept, together with the fixed point at each clock the governor selected.
+#: Both hold only floats and tuples of floats, which the garbage collector
+#: stops tracking, so a full memo adds no collection work.
+_POWER_CURVE_CACHE_SIZE = 1024
+
 
 @dataclass
 class _Placement:
@@ -66,13 +77,22 @@ class _Placement:
     memory_penalty: float = 1.0
 
 
-@dataclass
-class _SolvedPlacement:
+class _SolvedPlacement(NamedTuple):
     """Converged execution state of one placement at a fixed clock."""
 
-    components: TimeComponents
+    compute_s: float
+    memory_s: float
+    serial_s: float
     elapsed_s: float
     dram_bw_fraction: float
+
+
+#: A fixed point: one solved placement per application.
+_Solution = tuple[_SolvedPlacement, ...]
+
+#: One co-location group's memo: chip power by clock, and the fixed point
+#: at each clock the governor selected.
+_PowerCurve = tuple[dict[float, float], dict[float, _Solution]]
 
 
 class PerformanceSimulator:
@@ -107,6 +127,7 @@ class PerformanceSimulator:
         self._power = power_model if power_model is not None else PowerModel(spec)
         self._reference_cache: dict[tuple, float] = {}
         self._run_cache: OrderedDict[tuple, CoRunResult] = OrderedDict()
+        self._power_curves: OrderedDict[tuple, _PowerCurve] = OrderedDict()
         # Signature memo keyed by object identity with a weakref guard: a
         # dead kernel's recycled address can never alias a fresh one, and
         # dead entries evict themselves via the ref callback.
@@ -166,10 +187,12 @@ class PerformanceSimulator:
             bandwidth_capacity=1.0,
             pool=None,
         )
+        # The memo above already answers repeats, so the curve is not kept.
         solved, _, _ = self._solve(
             [placement],
             power_cap_w=self._spec.default_power_limit_w,
             powered_gpcs=self._spec.n_gpcs,
+            curve=({}, {}),
         )
         reference = solved[0].elapsed_s
         self._reference_cache[key] = reference
@@ -241,8 +264,9 @@ class PerformanceSimulator:
         # includes ``state.label`` (``state.key()`` ignores it but the result
         # embeds the state object), and pins the noise parameters in case the
         # model is swapped in place.
+        signatures = tuple(self._kernel_signature(kernel) for kernel in kernels)
         cache_key = (
-            tuple(self._kernel_signature(kernel) for kernel in kernels),
+            signatures,
             state.key(),
             state.label,
             cap,
@@ -258,7 +282,8 @@ class PerformanceSimulator:
         state.validate_against(self._spec)
         placements = self._build_placements(state, kernels)
         powered_gpcs = self._spec.mig_gpcs
-        solved, frequency, chip_power = self._solve(placements, cap, powered_gpcs)
+        curve = self._power_curve((signatures, state.key(), powered_gpcs))
+        solved, frequency, chip_power = self._solve(placements, cap, powered_gpcs, curve)
 
         per_app: list[RunResult] = []
         for index, (kernel, placement, solution) in enumerate(
@@ -283,13 +308,15 @@ class PerformanceSimulator:
                     reference_s=reference,
                     relative_performance=reference / measured,
                     relative_frequency=frequency,
-                    compute_time_s=solution.components.compute_s,
-                    memory_time_s=solution.components.memory_s,
-                    serial_time_s=solution.components.serial_s,
+                    compute_time_s=solution.compute_s,
+                    memory_time_s=solution.memory_s,
+                    serial_time_s=solution.serial_s,
                     achieved_bandwidth_gbs=solution.dram_bw_fraction
                     * self._spec.dram_bandwidth_gbs,
                     chip_power_w=chip_power,
-                    bound=bound_of(solution.components),
+                    bound=bound_of(
+                        TimeComponents(solution.compute_s, solution.memory_s, solution.serial_s)
+                    ),
                 )
             )
         result = CoRunResult(
@@ -303,6 +330,23 @@ class PerformanceSimulator:
         if len(self._run_cache) > _RUN_CACHE_SIZE:
             self._run_cache.popitem(last=False)
         return result
+
+    def _power_curve(self, key: tuple) -> _PowerCurve:
+        """The memoized power curve of one co-location group (LRU-bounded).
+
+        ``key`` is ``(kernel signatures, state.key(), powered GPCs)``: the
+        placements, and hence the chip power and the fixed point at every
+        clock, are a pure function of it.
+        """
+        curves = self._power_curves
+        curve = curves.get(key)
+        if curve is not None:
+            curves.move_to_end(key)
+            return curve
+        curve = curves[key] = ({}, {})
+        if len(curves) > _POWER_CURVE_CACHE_SIZE:
+            curves.popitem(last=False)
+        return curve
 
     def _kernel_signature(self, kernel: KernelCharacteristics) -> tuple:
         """Hashable snapshot of every kernel field the pipeline reads.
@@ -399,26 +443,43 @@ class PerformanceSimulator:
         placements: Sequence[_Placement],
         power_cap_w: float,
         powered_gpcs: int,
-    ) -> tuple[list[_SolvedPlacement], float, float]:
-        """Resolve clock, bandwidth shares, and elapsed times under the cap."""
+        curve: _PowerCurve,
+    ) -> tuple[_Solution, float, float]:
+        """Resolve clock, bandwidth shares, and elapsed times under the cap.
 
-        def loads_at(frequency: float) -> list[InstanceLoad]:
-            solved = self._solve_at_frequency(placements, frequency)
-            return self._loads_from_solution(placements, solved)
+        ``curve`` memoizes these placements' chip power by clock and their
+        fixed point at each selected clock; it is read and filled here.
+        """
+        power_by_clock, selected = curve
+        # Fixed points solved during this call, so the selected clock's is
+        # not solved twice.
+        fresh: dict[float, _Solution] = {}
 
-        frequency = self._power.max_frequency_under_cap(
-            loads_at, power_cap_w, powered_gpcs=powered_gpcs
-        )
-        solved = self._solve_at_frequency(placements, frequency)
-        loads = self._loads_from_solution(placements, solved)
-        chip_power = self._power.total_power(loads, frequency, powered_gpcs)
+        def power_at(frequency: float) -> float:
+            power = power_by_clock.get(frequency)
+            if power is None:
+                solved = fresh[frequency] = self._solve_at_frequency(placements, frequency)
+                loads = self._loads_from_solution(placements, solved)
+                power = power_by_clock[frequency] = self._power.total_power(
+                    loads, frequency, powered_gpcs
+                )
+            return power
+
+        frequency = self._power.max_frequency_under_cap(power_at, power_cap_w)
+        chip_power = power_at(frequency)
+        solved = selected.get(frequency)
+        if solved is None:
+            solved = fresh.get(frequency)
+            if solved is None:
+                solved = self._solve_at_frequency(placements, frequency)
+            selected[frequency] = solved
         return solved, frequency, chip_power
 
     def _solve_at_frequency(
         self,
         placements: Sequence[_Placement],
         frequency: float,
-    ) -> list[_SolvedPlacement]:
+    ) -> _Solution:
         """Fixed point of the bandwidth-contention problem at a given clock."""
         spec = self._spec
         n = len(placements)
@@ -499,12 +560,14 @@ class PerformanceSimulator:
             dram_bw_fraction = memory_full[i] / total if total > 0 else 0.0
             solved.append(
                 _SolvedPlacement(
-                    components=components,
+                    compute_s=compute_times[i],
+                    memory_s=memory_times[i],
+                    serial_s=serial_times[i],
                     elapsed_s=total,
                     dram_bw_fraction=min(1.0, dram_bw_fraction),
                 )
             )
-        return solved
+        return tuple(solved)
 
     def _loads_from_solution(
         self,
@@ -517,7 +580,7 @@ class PerformanceSimulator:
                 busy_fraction = 0.0
             else:
                 busy_fraction = min(
-                    1.0, solution.components.compute_s / solution.elapsed_s
+                    1.0, solution.compute_s / solution.elapsed_s
                 )
             loads.append(
                 InstanceLoad(

@@ -115,6 +115,25 @@ class TestSimulationRequest:
         with pytest.raises(ConfigurationError, match="unknown field"):
             SimulationRequest.from_dict({"arrival_rate": 2.0})
 
+    @pytest.mark.parametrize("watts", [float("nan"), float("inf"), -5.0, 0.0])
+    @pytest.mark.parametrize("field", ["power_cap_w", "power_budget_w"])
+    def test_non_finite_or_non_positive_watts_rejected(self, field, watts):
+        with pytest.raises(ConfigurationError, match=field):
+            SimulationRequest(**{field: watts})
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ConfigurationError, match="alpha"):
+            SimulationRequest(alpha=alpha)
+
+    def test_watts_and_alpha_normalized_to_float(self):
+        request = SimulationRequest(power_cap_w=230, power_budget_w=600, alpha=1)
+        assert (request.power_cap_w, request.power_budget_w, request.alpha) == (230.0, 600.0, 1.0)
+        assert all(
+            type(value) is float
+            for value in (request.power_cap_w, request.power_budget_w, request.alpha)
+        )
+
 
 class TestStatesRequest:
     def test_round_trip(self):

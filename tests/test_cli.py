@@ -143,6 +143,20 @@ class TestSimulate:
         assert code == 2
         assert "--profile cannot be combined with --json" in text
 
+    @pytest.mark.parametrize(
+        ("flag", "value", "field"),
+        [
+            ("--power-budget", "nan", "power_budget_w"),
+            ("--power-budget", "-5", "power_budget_w"),
+            ("--power-cap", "nan", "power_cap_w"),
+            ("--alpha", "inf", "alpha"),
+        ],
+    )
+    def test_bad_power_or_fairness_input_exits_2(self, flag, value, field):
+        code, text = run_cli(["simulate", "--jobs", "20", "--nodes", "2", flag, value])
+        assert code == 2
+        assert field in text
+
     def test_mix_selects_application_population(self):
         code, text = run_cli(
             ["simulate", "--arrival-rate", "3.0", "--duration", "10",

@@ -254,3 +254,6 @@ class TestPowerBudget:
             SimulationConfig(repartition_latency_s=-1.0)
         with pytest.raises(ConfigurationError):
             SimulationConfig(power_budget_w=0.0)
+        for budget in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="power_budget_w"):
+                SimulationConfig(power_budget_w=budget)

@@ -93,36 +93,50 @@ class TestBreakdown:
 class TestGovernor:
     def test_high_cap_allows_full_clock(self, power_model):
         f = power_model.max_frequency_under_cap(
-            lambda _: [memory_load()], A100_SPEC.max_power_cap_w
+            lambda f: power_model.total_power([memory_load()], f), A100_SPEC.max_power_cap_w
         )
         assert f == pytest.approx(1.0)
 
     def test_low_cap_throttles_tensor_load(self, power_model):
-        f = power_model.max_frequency_under_cap(lambda _: [full_tensor_load()], 150.0)
+        f = power_model.max_frequency_under_cap(
+            lambda f: power_model.total_power([full_tensor_load()], f), 150.0
+        )
         assert f < 0.9
 
     def test_memory_load_not_throttled_at_150w(self, power_model):
-        f = power_model.max_frequency_under_cap(lambda _: [memory_load()], 150.0)
+        f = power_model.max_frequency_under_cap(
+            lambda f: power_model.total_power([memory_load()], f), 150.0
+        )
         assert f > 0.9
 
     def test_selected_frequency_honours_cap(self, power_model):
         cap = 170.0
         loads = [full_tensor_load()]
-        f = power_model.max_frequency_under_cap(lambda _: loads, cap)
+        f = power_model.max_frequency_under_cap(
+            lambda f: power_model.total_power(loads, f), cap
+        )
         assert power_model.total_power(loads, f) <= cap + 1e-6
 
     def test_lower_cap_means_lower_frequency(self, power_model):
-        f150 = power_model.max_frequency_under_cap(lambda _: [full_tensor_load()], 150.0)
-        f250 = power_model.max_frequency_under_cap(lambda _: [full_tensor_load()], 250.0)
+        f150 = power_model.max_frequency_under_cap(
+            lambda f: power_model.total_power([full_tensor_load()], f), 150.0
+        )
+        f250 = power_model.max_frequency_under_cap(
+            lambda f: power_model.total_power([full_tensor_load()], f), 250.0
+        )
         assert f150 < f250
 
     def test_governor_never_goes_below_min_clock(self, power_model):
         heavy = [full_tensor_load()]
-        f = power_model.max_frequency_under_cap(lambda _: heavy, A100_SPEC.min_power_cap_w)
+        f = power_model.max_frequency_under_cap(
+            lambda f: power_model.total_power(heavy, f), A100_SPEC.min_power_cap_w
+        )
         assert f >= A100_SPEC.min_relative_frequency - 1e-9
 
     def test_governor_validates_cap(self, power_model):
         from repro.errors import PowerCapError
 
         with pytest.raises(PowerCapError):
-            power_model.max_frequency_under_cap(lambda _: [memory_load()], 10.0)
+            power_model.max_frequency_under_cap(
+                lambda f: power_model.total_power([memory_load()], f), 10.0
+            )

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.errors import PowerCapError, SimulationError
 from repro.gpu.mig import CORUN_STATES, MemoryOption, S1, S3, PartitionState, solo_state
+from repro.gpu.spec import Pipe
+from repro.sim import engine as engine_module
 from repro.sim.engine import PerformanceSimulator
 from repro.sim.noise import NoiseModel, no_noise
 from repro.workloads.pairs import corun_pair
@@ -205,3 +209,110 @@ class TestCustomStates:
     def test_profile_returns_counters(self, engine):
         counters = engine.profile(DEFAULT_SUITE.get("hgemm"))
         assert counters.tensor_mixed > 0
+
+
+class TestPowerCurveMemo:
+    """The per-group power-curve memo changes no result, only the work done."""
+
+    GROUPS = (
+        ("TI-MI2", S1),
+        ("CI-US1", S3),
+        ("MI-MI2", CORUN_STATES[1]),
+    )
+
+    @staticmethod
+    def _assert_same_result(warm, fresh):
+        for field in dataclasses.fields(warm):
+            if field.name == "per_app":
+                continue
+            assert getattr(warm, field.name) == getattr(fresh, field.name), field.name
+        assert len(warm.per_app) == len(fresh.per_app)
+        for warm_run, fresh_run in zip(warm.per_app, fresh.per_app):
+            for field in dataclasses.fields(warm_run):
+                assert getattr(warm_run, field.name) == getattr(
+                    fresh_run, field.name
+                ), field.name
+
+    def test_cap_sweep_on_warm_simulator_matches_fresh_simulators(self, monkeypatch):
+        solves = {"warm": 0}
+        original = PerformanceSimulator._solve_at_frequency
+        warm = PerformanceSimulator(noise=no_noise())
+
+        def counting(self, *args, **kwargs):
+            if self is warm:
+                solves["warm"] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PerformanceSimulator, "_solve_at_frequency", counting)
+        caps = [150.0 + 100.0 * i / 49 for i in range(50)]
+        for cap in caps:
+            for pair, state in self.GROUPS:
+                kernels = list(corun_pair(pair).kernels())
+                fresh = PerformanceSimulator(noise=no_noise()).co_run(kernels, state, cap)
+                self._assert_same_result(warm.co_run(kernels, state, cap), fresh)
+        # Later caps walk bisection midpoints the earlier ones solved, so the
+        # sweep needs fewer than three fixed points per co-run (229 in all);
+        # re-solving every bisection point takes more than six (970).
+        assert solves["warm"] < 3 * len(caps) * len(self.GROUPS)
+        assert len(warm._power_curves) == len(self.GROUPS)
+
+    def test_lru_evicts_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "_POWER_CURVE_CACHE_SIZE", 2)
+        sim = PerformanceSimulator(noise=no_noise())
+        kernels = [list(corun_pair(pair).kernels()) for pair, _ in self.GROUPS]
+        sim.co_run(kernels[0], S1, 200.0)
+        sim.co_run(kernels[1], S1, 200.0)
+        sim.co_run(kernels[0], S1, 210.0)  # refreshes the first group
+        sim.co_run(kernels[2], S1, 200.0)  # evicts the second
+        assert len(sim._power_curves) == 2
+        names = [tuple(sig[0] for sig in key[0]) for key in sim._power_curves]
+        assert names == [
+            tuple(k.name for k in kernels[0]),
+            tuple(k.name for k in kernels[2]),
+        ]
+
+    def test_kernels_with_equal_fields_share_a_curve(self):
+        sim = PerformanceSimulator(noise=no_noise())
+        kernels = list(corun_pair("TI-MI2").kernels())
+        sim.co_run(kernels, S1, 200.0)
+        twins = [dataclasses.replace(k) for k in kernels]
+        assert twins[0] is not kernels[0]
+        sim.co_run(twins, S1, 210.0)
+        # Fields the engine never reads do not split the curve either.
+        described = [dataclasses.replace(k, description="x", tags=("y",)) for k in kernels]
+        sim.co_run(described, S1, 220.0)
+        assert len(sim._power_curves) == 1
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"name": "igemm4-copy"},
+            {"compute_time_full_s": 0.9},
+            {"memory_time_full_s": 0.5},
+            {"serial_time_s": 0.05},
+            {"pipe_fractions": {Pipe.TENSOR_INT: 0.9, Pipe.FP32: 0.1}},
+            {"l2_hit_rate": 0.8},
+            {"occupancy": 0.5},
+            {"working_set_mb": 65.0},
+            {"l2_sensitivity": 0.31},
+        ],
+        ids=lambda change: next(iter(change)),
+    )
+    def test_kernels_differing_in_any_engine_field_do_not(self, change):
+        sim = PerformanceSimulator(noise=no_noise())
+        kernels = list(corun_pair("TI-MI2").kernels())
+        assert kernels[0].name == "igemm4"
+        assert all(getattr(kernels[0], name) != value for name, value in change.items())
+        sim.co_run(kernels, S1, 200.0)
+        sim.co_run([dataclasses.replace(kernels[0], **change), kernels[1]], S1, 200.0)
+        assert len(sim._power_curves) == 2
+
+    def test_states_and_powered_gpcs_key_the_curve(self):
+        sim = PerformanceSimulator(noise=no_noise())
+        kernels = list(corun_pair("TI-MI2").kernels())
+        for state in CORUN_STATES:
+            sim.co_run(kernels, state, 200.0)
+        relabelled = PartitionState(S1.gpc_allocations, S1.option, "other")
+        sim.co_run(kernels, relabelled, 210.0)
+        assert len(sim._power_curves) == len(CORUN_STATES)
+        assert {key[2] for key in sim._power_curves} == {sim.spec.mig_gpcs}
